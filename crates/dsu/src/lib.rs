@@ -20,6 +20,8 @@
 //!   other threads may concurrently run `find`.  This is the structure the
 //!   SP-hybrid local tier actually uses.
 
+#![forbid(unsafe_code)]
+
 pub mod classic;
 pub mod concurrent;
 pub mod rank_only;

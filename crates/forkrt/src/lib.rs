@@ -9,11 +9,13 @@
 //!    left subtree the victim is still walking.
 //!
 //! The original system ran on MIT Cilk-5; we reproduce the scheduling
-//! behaviour with an explicit-frame work-stealing walker over a materialized
-//! [`sptree::tree::ParseTree`]:
+//! behaviour with one explicit-frame work-stealing walker ([`live`]) over a
+//! computation that unfolds on demand; a materialized
+//! [`sptree::tree::ParseTree`] is walked through the same code
+//! ([`ParallelWalk`] adapts the tree as a [`LiveProgram`]):
 //!
 //! * each worker owns a [`crossbeam_deque::Worker`] deque; walking a P-node
-//!   pushes the node onto the bottom of the deque and descends into the left
+//!   pushes its frame onto the bottom of the deque and descends into the left
 //!   child, so the deque holds the open P-nodes of the worker's current
 //!   leftward path, oldest (topmost) at the steal end;
 //! * thieves steal from the top, giving exactly Cilk's steal-from-the-oldest
@@ -31,13 +33,12 @@
 //!
 //! The runtime reports steal counts and per-worker statistics ([`RunStats`]),
 //! which the Theorem-10 benchmarks compare against the O(P·T∞) bound.
-
 //!
-//! Besides the tree walker, the crate has a **live-execution mode**
-//! ([`live`]): the same steal discipline applied to a computation whose SP
-//! structure *unfolds on demand* ([`live::LiveProgram`]) instead of being
-//! materialized up front — the substrate of the `spprog` programmatic
-//! fork-join API.
+//! The live-execution mode is also the substrate of the `spprog`
+//! programmatic fork-join API, whose SP structure *unfolds* as user
+//! closures spawn and sync.
+
+#![forbid(unsafe_code)]
 
 pub mod live;
 pub mod metrics;

@@ -1,9 +1,9 @@
 //! Live-execution mode: work-stealing over a **dynamically unfolding** SP
 //! computation, with no materialized parse tree.
 //!
-//! The tree walker in [`crate::scheduler`] assumes the whole
-//! [`sptree::tree::ParseTree`] exists up front.  A real instrumented Cilk
-//! program is the opposite: the parse tree *unfolds* as the program runs —
+//! A materialized [`sptree::tree::ParseTree`] is the easy case (the
+//! [`crate::scheduler`] walk adapts one onto this module).  A real
+//! instrumented Cilk program is the general one: the parse tree *unfolds* as the program runs —
 //! each spawn reveals a P-node, each piece of serial work an S-node, and the
 //! scheduler never sees more of the tree than the frames currently open.
 //! This module provides that execution mode generically:
@@ -11,8 +11,8 @@
 //! * a [`LiveProgram`] describes the computation as a *cursor* type plus an
 //!   [`LiveProgram::unfold`] function that reveals, on demand, whether the
 //!   position is a leaf or an internal S/P node with two child cursors;
-//! * [`run_live`] executes it with exactly the Cilk steal discipline of the
-//!   tree walker — per-worker deques of open P-frames (oldest at the steal
+//! * [`run_live`] executes it with the Cilk steal discipline described in
+//!   the crate documentation — per-worker deques of open P-frames (oldest at the steal
 //!   end), per-victim steal serialization, a two-flag join protocol where the
 //!   last finisher continues above the stolen node, and a 64-bit token
 //!   traveling along the walk like the trace argument `U` of `SP-HYBRID`
@@ -191,7 +191,7 @@ impl LiveConfig {
     }
 }
 
-// Frame state bits (P-frames only), identical to the tree walker's.
+// Frame state bits (P-frames only).
 const STOLEN: u8 = 1;
 const LEFT_DONE: u8 = 1 << 1;
 const RIGHT_DONE: u8 = 1 << 2;
@@ -225,8 +225,15 @@ struct Shared<'p, P: LiveProgram, V> {
     program: &'p P,
     visitor: &'p V,
     stealers: Vec<Stealer<FrameRef<P>>>,
-    /// Per-victim steal serialization; see [`crate::scheduler`] for why
-    /// splits of the same victim must be applied outermost-first.
+    /// One lock per worker, held by a thief from the moment it takes a frame
+    /// from that worker's deque until the visitor's `steal` callback (the
+    /// trace split) has completed.  This serializes steals *per victim*,
+    /// like Cilk's steal protocol, so that when the same victim is robbed
+    /// repeatedly the splits are applied outermost-first — the property
+    /// Lemma 7 of the paper relies on ("steals occur from the top of the
+    /// tree").  Without it, a thief that took the topmost P-frame could be
+    /// overtaken by a second thief taking the next one, and the two trace
+    /// splits would enter the global order in the wrong order.
     steal_locks: Vec<Mutex<()>>,
     done: AtomicBool,
     final_token: AtomicU64,

@@ -1,22 +1,19 @@
-//! The work-stealing parallel walker.
+//! The work-stealing parallel walk of a materialized parse tree.
 //!
-//! See the crate-level documentation for how this maps onto Cilk's scheduler.
-//! The implementation keeps one shared frame per parse-tree node (a few
-//! atomics), per-worker `crossbeam_deque` deques holding the open P-nodes of
-//! each worker's leftward path, and resolves joins of stolen P-nodes with a
-//! two-flag protocol so the last finisher continues the walk.
-
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::time::Instant;
-
-use crossbeam_deque::{Steal, Stealer, Worker as Deque};
-use crossbeam_utils::Backoff;
-use parking_lot::Mutex;
+//! A parse tree is a computation whose unfolding is known up front, so
+//! [`ParallelWalk`] runs it on the live-execution scheduler
+//! ([`crate::live::run_live`]): the tree is adapted as a [`LiveProgram`]
+//! whose cursors are node ids, and the live callbacks are forwarded to the
+//! node-level [`ParallelVisitor`].  The crate therefore has exactly one
+//! steal discipline, deque protocol and join protocol to get right (and to
+//! tune); see the crate-level documentation for how it maps onto Cilk's
+//! scheduler.
 
 use sptree::tree::{NodeId, NodeKind, ParseTree};
 
+use crate::live::{run_live, LiveConfig, LiveNode, LiveProgram, LiveVisitor, SpKind};
 use crate::metrics::RunStats;
-use crate::visitor::{ParallelVisitor, Token};
+use crate::visitor::{ParallelVisitor, StealTokens, Token};
 
 /// Configuration of a parallel walk.
 #[derive(Clone, Copy, Debug)]
@@ -48,86 +45,11 @@ impl WalkConfig {
     }
 }
 
-// Frame state bits (P-nodes only).
-const STOLEN: u8 = 1;
-const LEFT_DONE: u8 = 1 << 1;
-const RIGHT_DONE: u8 = 1 << 2;
-
-/// Per-node shared state.
-struct Frame {
-    state: AtomicU8,
-    /// Token the node's walk was entered with (the trace `U` of Figure 8);
-    /// read by a thief to know which trace it is splitting.
-    entry_token: AtomicU64,
-    /// Token for the continuation after a stolen join (the paper's U⁽⁵⁾).
-    after_token: AtomicU64,
-}
-
-impl Frame {
-    fn new() -> Self {
-        Frame {
-            state: AtomicU8::new(0),
-            entry_token: AtomicU64::new(0),
-            after_token: AtomicU64::new(0),
-        }
-    }
-}
-
 /// A parallel left-to-right walk of a parse tree with Cilk-style work stealing.
 pub struct ParallelWalk<'t, V> {
     tree: &'t ParseTree,
     visitor: &'t V,
     config: WalkConfig,
-}
-
-struct Shared<'t, V> {
-    tree: &'t ParseTree,
-    visitor: &'t V,
-    frames: Vec<Frame>,
-    stealers: Vec<Stealer<NodeId>>,
-    /// One lock per worker, held by a thief from the moment it takes an entry
-    /// from that worker's deque until the corresponding split (the visitor's
-    /// `steal` callback) has completed.  This serializes steals *per victim*,
-    /// exactly like Cilk's steal protocol, so that when the same victim is
-    /// robbed repeatedly the splits are applied outermost-first — the property
-    /// Lemma 7 of the paper relies on ("steals occur from the top of the
-    /// tree").  Without it, a thief that took the topmost P-node could be
-    /// overtaken by a second thief taking the next one, and the two trace
-    /// splits would be inserted into the global order in the wrong order.
-    steal_locks: Vec<Mutex<()>>,
-    done: AtomicBool,
-    final_token: AtomicU64,
-    steals: AtomicU64,
-    failed_steals: AtomicU64,
-    threads_per_worker: Vec<AtomicU64>,
-}
-
-struct WorkerCtx {
-    index: usize,
-    deque: Deque<NodeId>,
-    threads: u64,
-    /// Simple xorshift state for victim selection.
-    rng: u64,
-}
-
-impl WorkerCtx {
-    fn next_victim(&mut self, workers: usize) -> usize {
-        // xorshift64*
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        (x.wrapping_mul(0x2545F4914F6CDD1D) >> 33) as usize % workers
-    }
-}
-
-enum Mode {
-    /// Walk the subtree rooted at the node, carrying the token.
-    Down(NodeId, Token),
-    /// The subtree rooted at the node completed with the given result token;
-    /// continue upward.
-    Up(NodeId, Token),
 }
 
 impl<'t, V: ParallelVisitor> ParallelWalk<'t, V> {
@@ -142,279 +64,88 @@ impl<'t, V: ParallelVisitor> ParallelWalk<'t, V> {
 
     /// Run the walk to completion, starting the root with `initial_token`.
     pub fn run(&self, initial_token: Token) -> RunStats {
-        let workers = self.config.effective_workers();
-        let deques: Vec<Deque<NodeId>> = (0..workers).map(|_| Deque::new_lifo()).collect();
-        let stealers: Vec<Stealer<NodeId>> = deques.iter().map(|d| d.stealer()).collect();
-        let shared = Shared {
+        let visitor = TreeVisitor {
             tree: self.tree,
-            visitor: self.visitor,
-            frames: (0..self.tree.num_nodes()).map(|_| Frame::new()).collect(),
-            stealers,
-            steal_locks: (0..workers).map(|_| Mutex::new(())).collect(),
-            done: AtomicBool::new(false),
-            final_token: AtomicU64::new(initial_token),
-            steals: AtomicU64::new(0),
-            failed_steals: AtomicU64::new(0),
-            threads_per_worker: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            inner: self.visitor,
         };
-
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for (index, deque) in deques.into_iter().enumerate() {
-                let shared = &shared;
-                scope.spawn(move || {
-                    let mut ctx = WorkerCtx {
-                        index,
-                        deque,
-                        threads: 0,
-                        rng: 0x9E3779B97F4A7C15u64.wrapping_add(index as u64 * 0xABCD1234),
-                    };
-                    if index == 0 {
-                        walk_and_ascend(shared, &mut ctx, shared.tree.root(), initial_token);
-                    }
-                    steal_loop(shared, &mut ctx);
-                    shared.threads_per_worker[index].store(ctx.threads, Ordering::Relaxed);
-                });
-            }
-        });
-        let elapsed = start.elapsed();
-
-        RunStats {
-            workers,
-            steals: shared.steals.load(Ordering::Relaxed),
-            failed_steal_attempts: shared.failed_steals.load(Ordering::Relaxed),
-            threads_per_worker: shared
-                .threads_per_worker
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            elapsed,
-            final_token: shared.final_token.load(Ordering::Relaxed),
-        }
+        let config = LiveConfig::with_workers(self.config.effective_workers());
+        run_live(&TreeProgram(self.tree), &visitor, config, 0, initial_token)
     }
 }
 
-/// Main scheduling loop: repeatedly steal the continuation of the topmost
-/// P-node of some victim and execute it, until the whole walk is done.
-fn steal_loop<V: ParallelVisitor>(shared: &Shared<'_, V>, ctx: &mut WorkerCtx) {
-    let workers = shared.stealers.len();
-    let backoff = Backoff::new();
-    while !shared.done.load(Ordering::Acquire) {
-        debug_assert!(ctx.deque.is_empty(), "idle worker must have an empty deque");
-        if workers == 1 {
-            // Nothing to steal from; just wait for completion (worker 0 is us
-            // or has already finished).
-            backoff.snooze();
-            continue;
-        }
-        let victim = ctx.next_victim(workers);
-        if victim == ctx.index {
-            continue;
-        }
-        // Serialize steals per victim: the deque removal and the trace split
-        // must be atomic with respect to other thieves of the same victim.
-        let Some(_guard) = shared.steal_locks[victim].try_lock() else {
-            shared.failed_steals.fetch_add(1, Ordering::Relaxed);
-            backoff.spin();
-            continue;
+/// A parse tree as a live program: cursors and metadata are node ids.
+struct TreeProgram<'t>(&'t ParseTree);
+
+impl LiveProgram for TreeProgram<'_> {
+    type Cursor = NodeId;
+    type Meta = NodeId;
+
+    fn root(&self) -> NodeId {
+        self.0.root()
+    }
+
+    fn unfold(&self, node: NodeId) -> LiveNode<NodeId, NodeId> {
+        let kind = match self.0.kind(node) {
+            NodeKind::Leaf(_) => return LiveNode::Leaf(node),
+            NodeKind::S => SpKind::Series,
+            NodeKind::P => SpKind::Parallel,
         };
-        match shared.stealers[victim].steal() {
-            Steal::Success(pnode) => {
-                backoff.reset();
-                let right_token = claim_stolen(shared, ctx, victim, pnode);
-                drop(_guard);
-                // Walk the stolen right subtree under U⁽⁴⁾; its completion
-                // triggers the join protocol at `pnode`.
-                walk_and_ascend(shared, ctx, shared.tree.right(pnode), right_token);
-            }
-            Steal::Empty => {
-                drop(_guard);
-                shared.failed_steals.fetch_add(1, Ordering::Relaxed);
-                backoff.snooze();
-            }
-            Steal::Retry => {
-                drop(_guard);
-                shared.failed_steals.fetch_add(1, Ordering::Relaxed);
-                backoff.spin();
-            }
+        LiveNode::Internal {
+            kind,
+            meta: node,
+            left: self.0.left(node),
+            right: self.0.right(node),
         }
     }
 }
 
-/// Thief side of a steal, part 1 (performed while holding the victim's steal
-/// lock): record the steal, let the visitor split the victim's trace and
-/// insert the new traces into the global order, and mark the frame stolen
-/// (lines 19–24 of Figure 8).  Returns the token for the stolen right subtree.
-fn claim_stolen<V: ParallelVisitor>(
-    shared: &Shared<'_, V>,
-    ctx: &mut WorkerCtx,
-    victim: usize,
-    pnode: NodeId,
-) -> Token {
-    shared.steals.fetch_add(1, Ordering::Relaxed);
-    let frame = &shared.frames[pnode.index()];
-    let victim_token = frame.entry_token.load(Ordering::Acquire);
-    // The visitor performs the trace split and the global-tier insertions
-    // before any thread of the stolen subtree executes.
-    let tokens = shared
-        .visitor
-        .steal(ctx.index, victim, pnode, victim_token);
-    frame.after_token.store(tokens.after, Ordering::Release);
-    frame.state.fetch_or(STOLEN, Ordering::SeqCst);
-    tokens.right
+/// Forwards live-walk events to a node-level [`ParallelVisitor`].
+struct TreeVisitor<'t, V> {
+    tree: &'t ParseTree,
+    inner: &'t V,
 }
 
-/// Walk the subtree rooted at `start` carrying `token`, then keep ascending —
-/// continuing pending right subtrees and resolving joins — until the whole
-/// tree completes or this worker loses a join race and abandons.
-fn walk_and_ascend<V: ParallelVisitor>(
-    shared: &Shared<'_, V>,
-    ctx: &mut WorkerCtx,
-    start: NodeId,
-    token: Token,
-) {
-    let tree = shared.tree;
-    let visitor = shared.visitor;
-    let mut mode = Mode::Down(start, token);
-    loop {
-        match mode {
-            Mode::Down(node, token) => match tree.kind(node) {
-                NodeKind::Leaf(thread) => {
-                    visitor.execute_thread(ctx.index, node, thread, token);
-                    ctx.threads += 1;
-                    mode = Mode::Up(node, token);
-                }
-                NodeKind::S => {
-                    shared.frames[node.index()]
-                        .entry_token
-                        .store(token, Ordering::Release);
-                    visitor.enter_internal(ctx.index, node, token);
-                    mode = Mode::Down(tree.left(node), token);
-                }
-                NodeKind::P => {
-                    shared.frames[node.index()]
-                        .entry_token
-                        .store(token, Ordering::Release);
-                    visitor.enter_internal(ctx.index, node, token);
-                    // Publish the continuation (right subtree + everything
-                    // above) for thieves, then walk the left subtree.
-                    ctx.deque.push(node);
-                    mode = Mode::Down(tree.left(node), token);
-                }
-            },
-            Mode::Up(child, result) => {
-                let parent = tree.parent(child);
-                if parent.is_none() {
-                    // The root completed: the whole walk is done.
-                    shared.final_token.store(result, Ordering::Release);
-                    visitor.finished(result);
-                    shared.done.store(true, Ordering::Release);
-                    return;
-                }
-                let is_left = tree.left(parent) == child;
-                match tree.kind(parent) {
-                    NodeKind::S => {
-                        if is_left {
-                            // Series: the right subtree follows, carrying the
-                            // token returned by the left subtree.
-                            visitor.between_children(ctx.index, parent, result);
-                            mode = Mode::Down(tree.right(parent), result);
-                        } else {
-                            visitor.leave_internal(ctx.index, parent, result);
-                            mode = Mode::Up(parent, result);
-                        }
-                    }
-                    NodeKind::P => {
-                        if is_left {
-                            mode = match finish_left_of_pnode(shared, ctx, parent, result) {
-                                Some(m) => m,
-                                None => return, // abandoned: thief will continue
-                            };
-                        } else {
-                            mode = match finish_right_of_pnode(shared, ctx, parent, result) {
-                                Some(m) => m,
-                                None => return, // abandoned: victim will continue
-                            };
-                        }
-                    }
-                    NodeKind::Leaf(_) => unreachable!("a leaf cannot be a parent"),
-                }
-            }
-        }
+impl<'t, V: ParallelVisitor> LiveVisitor<TreeProgram<'t>> for TreeVisitor<'t, V> {
+    fn enter_internal(&self, worker: usize, _: SpKind, &node: &NodeId, _: u64, token: Token) -> (u64, u64) {
+        self.inner.enter_internal(worker, node, token);
+        (0, 0)
     }
-}
 
-/// The left subtree of P-node `parent` completed on this worker with `result`.
-/// Perform the `SYNCHED()` check: if the continuation is still in our deque no
-/// steal happened and the walk continues serially; otherwise resolve the join.
-fn finish_left_of_pnode<V: ParallelVisitor>(
-    shared: &Shared<'_, V>,
-    ctx: &mut WorkerCtx,
-    parent: NodeId,
-    result: Token,
-) -> Option<Mode> {
-    match ctx.deque.pop() {
-        Some(popped) => {
-            debug_assert_eq!(
-                popped, parent,
-                "deque bottom must be the P-node whose left subtree just finished"
-            );
-            // No steal: proceed into the right subtree with the left result,
-            // exactly like the serial walk (lines 14–18 of Figure 8).
-            shared.visitor.between_children(ctx.index, parent, result);
-            Some(Mode::Down(shared.tree.right(parent), result))
-        }
-        None => {
-            // The continuation was stolen.  Whoever finishes second continues
-            // above the join with the U⁽⁵⁾ token chosen at steal time.
-            let frame = &shared.frames[parent.index()];
-            let prev = frame.state.fetch_or(LEFT_DONE, Ordering::SeqCst);
-            debug_assert_eq!(prev & LEFT_DONE, 0, "left side finished twice");
-            if prev & RIGHT_DONE != 0 {
-                let after = frame.after_token.load(Ordering::Acquire);
-                shared.visitor.join_stolen(ctx.index, parent, after);
-                Some(Mode::Up(parent, after))
-            } else {
-                None
-            }
-        }
+    fn execute_leaf(&self, worker: usize, &node: &NodeId, _: u64, token: Token) {
+        let NodeKind::Leaf(thread) = self.tree.kind(node) else {
+            unreachable!("the tree program only reports leaves as leaves")
+        };
+        self.inner.execute_thread(worker, node, thread, token);
     }
-}
 
-/// The right subtree of P-node `parent` completed on this worker with `result`.
-fn finish_right_of_pnode<V: ParallelVisitor>(
-    shared: &Shared<'_, V>,
-    ctx: &mut WorkerCtx,
-    parent: NodeId,
-    result: Token,
-) -> Option<Mode> {
-    let frame = &shared.frames[parent.index()];
-    if frame.state.load(Ordering::Acquire) & STOLEN == 0 {
-        // The node was never stolen: this is an ordinary serial completion
-        // (the right subtree was walked by the same logical serial stretch
-        // that walked the left one).
-        shared.visitor.leave_internal(ctx.index, parent, result);
-        return Some(Mode::Up(parent, result));
+    fn between_children(&self, worker: usize, _: SpKind, &node: &NodeId, token: Token) {
+        self.inner.between_children(worker, node, token);
     }
-    let prev = frame.state.fetch_or(RIGHT_DONE, Ordering::SeqCst);
-    debug_assert_eq!(prev & RIGHT_DONE, 0, "right side finished twice");
-    if prev & LEFT_DONE != 0 {
-        let after = frame.after_token.load(Ordering::Acquire);
-        shared.visitor.join_stolen(ctx.index, parent, after);
-        Some(Mode::Up(parent, after))
-    } else {
-        None
+
+    fn leave_internal(&self, worker: usize, _: SpKind, &node: &NodeId, token: Token) {
+        self.inner.leave_internal(worker, node, token);
+    }
+
+    fn steal(&self, thief: usize, victim: usize, &pnode: &NodeId, token: Token) -> StealTokens {
+        self.inner.steal(thief, victim, pnode, token)
+    }
+
+    fn join_stolen(&self, worker: usize, &pnode: &NodeId, after: Token) {
+        self.inner.join_stolen(worker, pnode, after);
+    }
+
+    fn finished(&self, token: Token) {
+        self.inner.finished(token);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::visitor::StealTokens;
     use sptree::builder::Ast;
     use sptree::generate::{balanced_parallel, random_sp_ast, serial_chain};
     use sptree::tree::ThreadId;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::Mutex;
 
     /// Visitor that records which threads executed and how often, plus event

@@ -27,11 +27,15 @@
 //! All lists hand out small `Copy` handles; items themselves carry no
 //! user payload (callers keep a side table from their own ids to handles).
 
+#![forbid(unsafe_code)]
+
 pub mod concurrent;
+pub mod slab;
 pub mod tag_list;
 pub mod two_level;
 
 pub use concurrent::{ConcurrentOmList, ConcurrentOmNode};
+pub use slab::ChunkedSlab;
 pub use tag_list::TagList;
 pub use two_level::TwoLevelList;
 

@@ -28,16 +28,16 @@
 //!    striped lock **once**, and the rest of the group is processed under
 //!    that single acquisition;
 //! 4. detected races are re-sorted by the access's original script index
-//!    before being pushed, so the report lists each thread's races in
-//!    program order — serial backend runs therefore stay **bit-identical**
+//!    before the thread's batch is appended to the [`RaceLog`], so the
+//!    report lists each thread's races in program order — serial backend runs therefore stay **bit-identical**
 //!    to the unbatched per-cell engine, which is what lets the conformance
 //!    harness demand identical reports across serial backends.
 //!
 //! The fast path is sound because a packed cell is one atomic word: the
 //! snapshot is a linearization point, and the locked path given the same
-//! snapshot would have reported nothing and written nothing.  The report is
-//! behind a mutex so the *same* engine code is correct for concurrent
-//! backends; for serial backends all locks are uncontended.
+//! snapshot would have reported nothing and written nothing.  The race log
+//! takes one short lock per racy batch so the *same* engine code is correct
+//! for concurrent backends; for serial backends all locks are uncontended.
 
 use parking_lot::Mutex;
 use spmaint::api::{BackendConfig, CurrentSpQuery, SpBackend};
@@ -45,7 +45,7 @@ use spmetrics::{CounterId, EventKind, MetricsHandle};
 use sptree::tree::{ParseTree, ThreadId};
 
 use crate::access::{Access, AccessKind, AccessScript};
-use crate::report::{Race, RaceKind, RaceReport};
+use crate::report::{Race, RaceKind, RaceLog, RaceReport};
 use crate::shadow::{PerCellShadowMemory, ShadowCell, ShadowStore, ShardedShadowMemory};
 
 /// Run race detection over `tree` with backend `B` built under `config`.
@@ -75,12 +75,12 @@ pub fn detect_races<'t, B: SpBackend<'t>>(
         "access script must cover every thread of the program"
     );
     let shadow = ShardedShadowMemory::new(script.num_locations(), config.workers);
-    let report = Mutex::new(RaceReport::new());
+    let report = RaceLog::new();
     let mut backend = B::build(tree, config);
     backend.run_with_queries(tree, |queries, current| {
         check_thread_accesses(queries, &shadow, &report, current, script.of(current));
     });
-    (report.into_inner(), backend)
+    (report.into_report(), backend)
 }
 
 /// Shadow-memory update for one access (the Feng–Leiserson rules), shared by
@@ -239,7 +239,7 @@ fn fast_path_tier<S: ShadowStore + ?Sized>(
 pub fn check_thread_accesses<S: ShadowStore + ?Sized>(
     queries: &dyn CurrentSpQuery,
     shadow: &S,
-    report: &Mutex<RaceReport>,
+    report: &RaceLog,
     current: ThreadId,
     accesses: &[Access],
 ) {
@@ -256,7 +256,7 @@ pub fn check_thread_accesses<S: ShadowStore + ?Sized>(
 pub fn check_thread_accesses_metered<S: ShadowStore + ?Sized>(
     queries: &dyn CurrentSpQuery,
     shadow: &S,
-    report: &Mutex<RaceReport>,
+    report: &RaceLog,
     current: ThreadId,
     accesses: &[Access],
     metrics: &MetricsHandle,
@@ -324,11 +324,10 @@ pub fn check_thread_accesses_metered<S: ShadowStore + ?Sized>(
         // the report lists this thread's races exactly as the unbatched
         // engine did (sort is stable: ties keep writer-before-reader order).
         found.sort_by_key(|&(idx, _)| idx);
-        let mut report = report.lock();
-        for (idx, race) in found {
+        for &(idx, race) in &found {
             metrics.event(EventKind::RaceFound, u64::from(race.loc), u64::from(idx));
-            report.push(race);
         }
+        report.push_batch(found.into_iter().map(|(_, race)| race));
     }
 }
 
@@ -485,7 +484,7 @@ mod tests {
         // S(u0, P(u1, u2)): u0 precedes both; u1 ∥ u2.
         let tree = Ast::seq(vec![Ast::leaf(1), Ast::par(vec![Ast::leaf(1), Ast::leaf(1)])]).build();
         let shadow = ShardedShadowMemory::new(4, 1);
-        let report = Mutex::new(RaceReport::new());
+        let report = RaceLog::new();
         struct Oracle<'t>(sptree::oracle::SpOracle<'t>, ThreadId);
         impl CurrentSpQuery for Oracle<'_> {
             fn precedes_current(&self, earlier: ThreadId) -> bool {
@@ -506,7 +505,7 @@ mod tests {
         assert!(silent_fast_path(&q2, &shadow, ThreadId(2), Access::read(0)), "parallel reader stays");
         check_thread_accesses(&q2, &shadow, &report, ThreadId(2), &[Access::read(0)]);
         assert_eq!(shadow.load(0).reader, Some(ThreadId(1)), "fast path left the cell untouched");
-        assert!(report.lock().is_empty(), "read-shared data after a preceding write is race-free");
+        assert!(report.report().is_empty(), "read-shared data after a preceding write is race-free");
     }
 
     /// The owner-hint tier: a thread re-writing (and re-reading) its own
@@ -515,7 +514,7 @@ mod tests {
     #[test]
     fn owner_hint_covers_private_write_runs() {
         let shadow = ShardedShadowMemory::new(2, 2);
-        let report = Mutex::new(RaceReport::new());
+        let report = RaceLog::new();
 
         /// Queries that panic if consulted: the owner hint must answer alone.
         struct NoQueries;
@@ -551,7 +550,7 @@ mod tests {
             &[Access::read(0), Access::write(0), Access::read(0), Access::write(0)],
         );
         assert_eq!(shadow.load(0), ShadowCell { writer: Some(t), reader: Some(t) });
-        assert!(report.lock().is_empty());
+        assert!(report.report().is_empty());
         // A *different* thread's write must not be owner-silent.
         assert!(!silent_fast_path(&NoQueries, &shadow, ThreadId(1), Access::write(1)));
     }

@@ -288,7 +288,7 @@ mod tests {
     use super::*;
     use crate::access::Access;
     use crate::engine::check_thread_accesses;
-    use crate::report::RaceReport;
+    use crate::report::RaceLog;
     use spmaint::api::CurrentSpQuery;
 
     struct AllParallel;
@@ -363,10 +363,10 @@ mod tests {
         let arena = EpochShadowArena::new(4, 2);
         for round in 0..3 {
             let view = arena.view();
-            let report = Mutex::new(RaceReport::new());
+            let report = RaceLog::new();
             check_thread_accesses(&AllParallel, &view, &report, ThreadId(0), &[Access::write(1)]);
             check_thread_accesses(&AllParallel, &view, &report, ThreadId(1), &[Access::write(1)]);
-            let report = report.into_inner();
+            let report = report.into_report();
             assert_eq!(report.racy_locations(), vec![1], "round {round}");
             assert_eq!(report.len(), 1, "round {round}: no stale state leaked in");
             arena.reset();

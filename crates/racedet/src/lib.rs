@@ -36,6 +36,8 @@
 //! ([`access::AccessScript`]), the synthetic stand-in for instrumenting a real
 //! program (see DESIGN.md's substitution table).
 
+#![forbid(unsafe_code)]
+
 pub mod access;
 pub mod engine;
 pub mod epoch;
@@ -52,6 +54,6 @@ pub use engine::{
 pub use epoch::{EpochShadowArena, EpochShadowView};
 pub use live::{DetectionSink, LiveDetector};
 pub use parallel::ParallelRaceDetector;
-pub use report::{Race, RaceKind, RaceReport};
+pub use report::{Race, RaceKind, RaceLog, RaceReport};
 pub use serial::SerialRaceDetector;
 pub use shadow::{PerCellShadowMemory, ShadowCell, ShadowStore, ShardedShadowMemory};

@@ -23,7 +23,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
 use spmaint::api::CurrentSpQuery;
 use sptree::tree::ThreadId;
 
@@ -31,7 +30,7 @@ use spmetrics::MetricsHandle;
 
 use crate::access::Access;
 use crate::engine::check_thread_accesses_metered;
-use crate::report::RaceReport;
+use crate::report::{RaceLog, RaceReport};
 use crate::shadow::ShardedShadowMemory;
 
 /// The detection surface a live run needs from its environment: value
@@ -66,7 +65,7 @@ pub trait DetectionSink: Sync {
 pub struct LiveDetector {
     values: Vec<AtomicU64>,
     shadow: ShardedShadowMemory,
-    report: Mutex<RaceReport>,
+    report: RaceLog,
     metrics: MetricsHandle,
 }
 
@@ -85,7 +84,7 @@ impl LiveDetector {
         LiveDetector {
             values: (0..locations).map(|_| AtomicU64::new(0)).collect(),
             shadow: ShardedShadowMemory::new(locations, workers),
-            report: Mutex::new(RaceReport::new()),
+            report: RaceLog::new(),
             metrics,
         }
     }
@@ -138,12 +137,12 @@ impl LiveDetector {
 
     /// Snapshot of the races found so far.
     pub fn report(&self) -> RaceReport {
-        self.report.lock().clone()
+        self.report.report()
     }
 
     /// Consume the detector and return the final report.
     pub fn into_report(self) -> RaceReport {
-        self.report.into_inner()
+        self.report.into_report()
     }
 
     /// Approximate heap bytes used (value + shadow memory).

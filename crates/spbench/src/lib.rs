@@ -18,6 +18,8 @@
 //!   `spmaint::SpBackend` trait through the one generic race-detection
 //!   engine (`racedet::detect_races`), so rows are directly comparable.
 
+#![forbid(unsafe_code)]
+
 use spmaint::api::OnTheFlySp;
 use spmaint::run_serial;
 use sptree::tree::{ParseTree, ThreadId};

@@ -46,6 +46,8 @@
 //! assert_eq!(report.racy_locations(), vec![0]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use parking_lot::Mutex;
 use racedet::detect_races;
 use rand::rngs::StdRng;

@@ -4,9 +4,8 @@
 use forkrt::{ParallelVisitor, ParallelWalk, RunStats, StealTokens, Token, WalkConfig};
 use sptree::tree::{NodeId, NodeKind, ParseTree, ThreadId};
 
-use crate::global_tier::GlobalTier;
-use crate::local_tier::{BagKind, LocalTier};
-use crate::trace::{TraceArena, TraceId};
+use crate::live::LiveSpHybrid;
+use crate::trace::TraceId;
 
 /// Configuration of an SP-hybrid run.
 #[derive(Clone, Copy, Debug)]
@@ -53,13 +52,6 @@ pub struct HybridStats {
     pub query_retries: u64,
 }
 
-/// The two-tier parallel SP-maintenance structure.
-///
-/// Query semantics follow the paper: [`SpHybrid::precedes_current`] relates an
-/// already-executed thread to the **currently executing** thread of a given
-/// trace.  The structure expects programs in canonical Cilk form
-/// ([`sptree::cilk`]); arbitrary fork-join programs can be brought into that
-/// form by adding empty threads (paper footnote 6).
 /// Record of one trace split, kept for diagnostics and for the
 /// Theorem-10 benchmarks (splits are rare — one per steal — so logging them
 /// is cheap).
@@ -77,12 +69,19 @@ pub struct SplitRecord {
     pub seq: u64,
 }
 
+/// The two-tier parallel SP-maintenance structure, driven by a parse tree.
+///
+/// The tiers themselves are a [`LiveSpHybrid`]; this type derives each
+/// maintenance event's procedure (and spawned child) from the tree and logs
+/// the splits.  Query semantics follow the paper:
+/// [`SpHybrid::precedes_current`] relates an already-executed thread to the
+/// **currently executing** thread of a given trace.  The structure expects
+/// programs in canonical Cilk form ([`sptree::cilk`]); arbitrary fork-join
+/// programs can be brought into that form by adding empty threads (paper
+/// footnote 6).
 pub struct SpHybrid<'t> {
     tree: &'t ParseTree,
-    global: GlobalTier,
-    local: LocalTier,
-    traces: TraceArena,
-    root_trace: TraceId,
+    core: LiveSpHybrid,
     split_log: parking_lot::Mutex<Vec<SplitRecord>>,
 }
 
@@ -92,14 +91,9 @@ impl<'t> SpHybrid<'t> {
         let max_traces = config
             .max_traces
             .unwrap_or_else(|| 4 * tree.num_pnodes() + 16);
-        let (global, eng_base, heb_base) = GlobalTier::new(max_traces.max(4));
-        let (traces, root_trace) = TraceArena::new(eng_base, heb_base);
         SpHybrid {
             tree,
-            global,
-            local: LocalTier::new(tree.num_threads()),
-            traces,
-            root_trace,
+            core: LiveSpHybrid::with_hints(tree.num_threads(), max_traces),
             split_log: parking_lot::Mutex::new(Vec::new()),
         }
     }
@@ -107,8 +101,7 @@ impl<'t> SpHybrid<'t> {
     /// Which trace does an already-executed thread currently belong to, and is
     /// its bag an S-bag?  (`FIND-TRACE`; exposed for diagnostics and tests.)
     pub fn find_trace(&self, thread: ThreadId) -> (TraceId, bool) {
-        let (trace, kind) = self.local.find_trace(thread);
-        (trace, kind == BagKind::S)
+        self.core.find_trace(thread)
     }
 
     /// The splits performed so far (one per steal).
@@ -118,7 +111,7 @@ impl<'t> SpHybrid<'t> {
 
     /// The trace the computation starts in.
     pub fn root_trace(&self) -> TraceId {
-        self.root_trace
+        self.core.root_trace()
     }
 
     /// The parse tree this structure was built for.
@@ -128,23 +121,14 @@ impl<'t> SpHybrid<'t> {
 
     /// Number of traces created so far.
     pub fn num_traces(&self) -> usize {
-        self.traces.len()
+        self.core.num_traces()
     }
 
     /// `SP-PRECEDES(earlier, current)` (Figure 9): does the already-executed
     /// thread `earlier` logically precede the currently executing thread,
     /// which runs as part of `current_trace`?
     pub fn precedes_current(&self, earlier: ThreadId, current_trace: TraceId) -> bool {
-        let (trace, kind) = self.local.find_trace(earlier);
-        if trace == current_trace {
-            // Same trace: the local tier (SP-bags) answers.
-            kind == BagKind::S
-        } else {
-            // Different traces: compare the traces in the global tier.
-            let a = self.traces.get(trace);
-            let b = self.traces.get(current_trace);
-            self.global.precedes((a.eng, a.heb), (b.eng, b.heb))
-        }
+        self.core.precedes_current(earlier, current_trace)
     }
 
     /// Does `earlier` operate logically in parallel with the currently
@@ -155,65 +139,22 @@ impl<'t> SpHybrid<'t> {
 
     /// Approximate heap bytes used by the two tiers.
     pub fn space_bytes(&self) -> usize {
-        self.global.space_bytes() + self.local.space_bytes()
+        self.core.space_bytes()
     }
 
-    // ------------------------------------------------------------------
-    // Maintenance events, invoked by the runtime visitor.
-    // ------------------------------------------------------------------
-
-    fn thread_event(&self, node: NodeId, thread: ThreadId, trace: TraceId) {
-        let proc = self.tree.proc_of(node);
-        let state = self.traces.get(trace);
-        let mut local = state.local.lock();
-        self.local.thread_executed(&mut local, trace, proc, thread);
-    }
-
-    fn between_event(&self, node: NodeId, trace: TraceId) {
-        if self.tree.kind(node) != NodeKind::P {
-            return;
-        }
-        let proc = self.tree.proc_of(node);
-        let child = self.tree.spawned_proc(node);
-        let state = self.traces.get(trace);
-        let mut local = state.local.lock();
-        self.local.child_returned(&mut local, trace, proc, child);
-    }
-
-    fn leave_event(&self, node: NodeId, trace: TraceId) {
-        if self.tree.kind(node) != NodeKind::P {
-            return;
-        }
-        let proc = self.tree.proc_of(node);
-        let state = self.traces.get(trace);
-        let mut local = state.local.lock();
-        self.local.sync(&mut local, trace, proc);
-    }
-
-    /// Lines 19–24 of Figure 8: create the four new traces, insert them into
-    /// the global orders under the global lock, and split the victim's local
-    /// tier in O(1).  Returns (U⁽⁴⁾, U⁽⁵⁾).
+    /// Lines 19–24 of Figure 8 for a steal of `pnode`'s continuation from
+    /// `victim_trace`, logged.  Returns (U⁽⁴⁾, U⁽⁵⁾).
     fn steal_event(&self, pnode: NodeId, victim_trace: TraceId) -> (TraceId, TraceId) {
-        let u_state = self.traces.get(victim_trace);
-        let handles = self.global.insert_split(u_state.eng, u_state.heb);
-        let seq = self.global.insertions();
-        let u1 = self.traces.push(handles.u1.0, handles.u1.1);
-        let u2 = self.traces.push(handles.u2.0, handles.u2.1);
-        let u4 = self.traces.push(handles.u4.0, handles.u4.1);
-        let u5 = self.traces.push(handles.u5.0, handles.u5.1);
         let proc = self.tree.proc_of(pnode);
-        {
-            let mut local = u_state.local.lock();
-            self.local.split(&mut local, proc, u1, u2);
-        }
+        let created = self.core.split_traces(proc, victim_trace);
         self.split_log.lock().push(SplitRecord {
             pnode,
             proc,
             victim: victim_trace,
-            created: [u1, u2, u4, u5],
-            seq,
+            created,
+            seq: self.core.global_insertions(),
         });
-        (u4, u5)
+        (created[2], created[3])
     }
 
     /// Run the parallel walk on `workers` workers.  `on_thread` is called on
@@ -232,11 +173,11 @@ impl<'t> SpHybrid<'t> {
             on_thread,
         };
         let walk = ParallelWalk::new(self.tree, &visitor, WalkConfig::with_workers(workers));
-        let run = walk.run(self.root_trace.to_token());
+        let run = walk.run(self.root_trace().to_token());
         HybridStats {
             traces: self.num_traces(),
-            global_insertions: self.global.insertions(),
-            query_retries: self.global.query_retries(),
+            global_insertions: self.core.global_insertions(),
+            query_retries: self.core.query_retries(),
             run,
         }
     }
@@ -254,16 +195,26 @@ where
     fn execute_thread(&self, _worker: usize, node: NodeId, thread: ThreadId, token: Token) {
         let trace = TraceId::from_token(token);
         // Line 3 of Figure 8: insert the thread into the trace, then execute.
-        self.hybrid.thread_event(node, thread, trace);
+        let tree = self.hybrid.tree;
+        self.hybrid.core.thread_executed(tree.proc_of(node), thread, trace);
         (self.on_thread)(self.hybrid, thread, trace);
     }
 
     fn between_children(&self, _worker: usize, node: NodeId, token: Token) {
-        self.hybrid.between_event(node, TraceId::from_token(token));
+        let tree = self.hybrid.tree;
+        if tree.kind(node) == NodeKind::P {
+            let trace = TraceId::from_token(token);
+            let (proc, child) = (tree.proc_of(node), tree.spawned_proc(node));
+            self.hybrid.core.child_returned(proc, child, trace);
+        }
     }
 
     fn leave_internal(&self, _worker: usize, node: NodeId, token: Token) {
-        self.hybrid.leave_event(node, TraceId::from_token(token));
+        let tree = self.hybrid.tree;
+        if tree.kind(node) == NodeKind::P {
+            let trace = TraceId::from_token(token);
+            self.hybrid.core.synced(tree.proc_of(node), trace);
+        }
     }
 
     fn steal(&self, _thief: usize, _victim: usize, pnode: NodeId, token: Token) -> StealTokens {

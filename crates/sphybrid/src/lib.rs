@@ -36,6 +36,8 @@
 //! `racedet` and the `spconform` differential harness can drive them
 //! interchangeably with the serial Figure-3 algorithms.
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod global_tier;
 pub mod hybrid;

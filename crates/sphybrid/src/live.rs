@@ -18,8 +18,8 @@
 //!   (Figure 8, lines 19–24), the stolen continuation runs under U⁽⁴⁾ and
 //!   the post-join code under U⁽⁵⁾.
 //!
-//! The two substrates grow on demand (chunked slabs published with release
-//! stores, addressed by readers with acquire loads — see
+//! The substrates and the trace arena grow on demand (each an
+//! [`om::ChunkedSlab`], read lock-free — see
 //! `ARCHITECTURE.md#growable-epoch-published-substrates`), so a live run
 //! needs **no budgets**: [`LiveHybridConfig`] only carries initial-capacity
 //! hints, and a program may execute any number of threads and suffer any
@@ -80,12 +80,19 @@ impl LiveSpHybrid {
     /// Build an empty structure; `config` only seeds the initial chunk sizes
     /// of the growable substrates.
     pub fn new(config: LiveHybridConfig) -> Self {
-        let initial_traces = 4 * config.max_steals + 16;
-        let (global, eng_base, heb_base) = GlobalTier::new(initial_traces.max(4));
-        let (traces, root_trace) = TraceArena::new(eng_base, heb_base);
+        Self::with_hints(config.max_threads, 4 * config.max_steals + 16)
+    }
+
+    /// Build an empty structure from initial-capacity hints: expected
+    /// threads (the union-find) and expected traces (the OM slabs and the
+    /// trace arena).
+    pub(crate) fn with_hints(threads: usize, traces: usize) -> Self {
+        let traces = traces.max(4);
+        let (global, eng_base, heb_base) = GlobalTier::new(traces);
+        let (traces, root_trace) = TraceArena::new(traces, eng_base, heb_base);
         LiveSpHybrid {
             global,
-            local: LocalTier::new(config.max_threads.max(1)),
+            local: LocalTier::new(threads.max(1)),
             traces,
             root_trace,
         }
@@ -188,17 +195,19 @@ impl LiveSpHybrid {
     /// Returns `(U⁽⁴⁾, U⁽⁵⁾)` — the traces of the stolen continuation and of
     /// the post-join code — for the scheduler's steal tokens.
     pub fn split(&self, proc: ProcId, victim_trace: TraceId) -> (TraceId, TraceId) {
+        let [_, _, u4, u5] = self.split_traces(proc, victim_trace);
+        (u4, u5)
+    }
+
+    /// [`split`](Self::split), returning all four new traces
+    /// `[U⁽¹⁾, U⁽²⁾, U⁽⁴⁾, U⁽⁵⁾]`.
+    pub(crate) fn split_traces(&self, proc: ProcId, victim_trace: TraceId) -> [TraceId; 4] {
         let u_state = self.traces.get(victim_trace);
         let handles = self.global.insert_split(u_state.eng, u_state.heb);
-        let u1 = self.traces.push(handles.u1.0, handles.u1.1);
-        let u2 = self.traces.push(handles.u2.0, handles.u2.1);
-        let u4 = self.traces.push(handles.u4.0, handles.u4.1);
-        let u5 = self.traces.push(handles.u5.0, handles.u5.1);
-        {
-            let mut local = u_state.local.lock();
-            self.local.split(&mut local, proc, u1, u2);
-        }
-        (u4, u5)
+        let created = [handles.u1, handles.u2, handles.u4, handles.u5]
+            .map(|(eng, heb)| self.traces.push(eng, heb));
+        self.local.split(&mut u_state.local.lock(), proc, created[0], created[1]);
+        created
     }
 }
 
@@ -290,5 +299,34 @@ mod tests {
         for t in 0..200 {
             assert!(h.precedes_current(ThreadId(t), victim));
         }
+    }
+
+    /// Concurrent thieves splitting traces: the trace count stays exactly
+    /// 4·splits + 1, and each thief's stolen chain keeps its order.
+    #[test]
+    fn concurrent_splits_keep_the_trace_count_exact() {
+        let h = LiveSpHybrid::new(LiveHybridConfig { max_threads: 2, max_steals: 1 });
+        let u = h.root_trace();
+        let main = ProcId(0);
+        h.thread_executed(main, ThreadId(0), u);
+        // Four serial steals give each thief a trace of its own to work in.
+        let starts: Vec<TraceId> = (0..4).map(|_| h.split(main, u).0).collect();
+        let h = &h;
+        std::thread::scope(|s| {
+            for (t, &start) in (0u32..).zip(&starts) {
+                s.spawn(move || {
+                    let mut victim = start;
+                    for i in 0..50u32 {
+                        let thread = ThreadId(1 + t * 50 + i);
+                        h.thread_executed(ProcId(1 + t), thread, victim);
+                        let (u4, _u5) = h.split(ProcId(1 + t), victim);
+                        assert!(h.precedes_current(thread, u4), "thief {t} split {i}");
+                        victim = u4;
+                    }
+                });
+            }
+        });
+        assert_eq!(h.global_insertions(), 4 + 4 * 50);
+        assert_eq!(h.num_traces(), 1 + 4 * h.global_insertions() as usize);
     }
 }

@@ -9,10 +9,12 @@
 //! steal, so |C| = 4s + 1 after s steals.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-use om::ConcurrentOmNode;
-use parking_lot::{Mutex, RwLock};
-use std::sync::Arc;
+use om::concurrent::base_chunk_size;
+use om::{ChunkedSlab, ConcurrentOmNode};
+use parking_lot::Mutex;
 
 /// Identifier of a trace.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -65,30 +67,47 @@ pub struct TraceState {
     pub local: Mutex<TraceLocal>,
 }
 
-/// Growable, concurrently readable arena of traces.
+/// Growable, concurrently readable arena of traces: a [`ChunkedSlab`] of
+/// set-once [`TraceState`]s.
+///
+/// [`get`](Self::get) is the slab's lock-free lookup plus one acquire load
+/// of the slot, so the query path (`precedes_current`) and every
+/// maintenance event reach a trace without a lock, a reference count or any
+/// other shared write.  Thieves push concurrently: each reserves a dense id,
+/// fills its slot, then bumps the published count.
 pub struct TraceArena {
-    traces: RwLock<Vec<Arc<TraceState>>>,
+    /// Boxed so an unfilled slot costs 16 bytes however large the
+    /// capacity hint.
+    slots: ChunkedSlab<OnceLock<Box<TraceState>>>,
+    /// Ids handed out so far (some may still be filling).
+    reserved: AtomicUsize,
+    /// Traces whose state is visible through [`get`](Self::get).
+    published: AtomicUsize,
 }
 
 impl TraceArena {
-    /// Create an arena containing just the initial trace.
-    pub fn new(root_eng: ConcurrentOmNode, root_heb: ConcurrentOmNode) -> (Self, TraceId) {
-        let root = Arc::new(TraceState {
-            eng: root_eng,
-            heb: root_heb,
-            local: Mutex::new(TraceLocal::default()),
-        });
-        (
-            TraceArena {
-                traces: RwLock::new(vec![root]),
-            },
-            TraceId(0),
-        )
+    /// Create an arena containing just the initial trace.  `capacity` is
+    /// only the initial-chunk hint (rounded to a power of two, overridable
+    /// via `SP_OM_CHUNK`, like the order-maintenance slabs); the arena grows
+    /// on demand.
+    pub fn new(
+        capacity: usize,
+        root_eng: ConcurrentOmNode,
+        root_heb: ConcurrentOmNode,
+    ) -> (Self, TraceId) {
+        let arena = TraceArena {
+            slots: ChunkedSlab::new(base_chunk_size(capacity.max(1))),
+            reserved: AtomicUsize::new(0),
+            published: AtomicUsize::new(0),
+        };
+        let root = arena.push(root_eng, root_heb);
+        (arena, root)
     }
 
-    /// Number of traces created so far (4·steals + 1).
+    /// Number of traces published so far (4·steals + 1 once every split has
+    /// finished its pushes).
     pub fn len(&self) -> usize {
-        self.traces.read().len()
+        self.published.load(Ordering::Acquire)
     }
 
     /// True if no traces exist (never: the root trace always exists).
@@ -96,20 +115,30 @@ impl TraceArena {
         self.len() == 0
     }
 
-    /// Fetch a trace record.
-    pub fn get(&self, id: TraceId) -> Arc<TraceState> {
-        Arc::clone(&self.traces.read()[id.index()])
+    /// Fetch a trace record.  Lock-free and write-free; `id` must come from
+    /// [`push`](Self::push) (directly or through a scheduler token), which
+    /// happens-before every use of the id.
+    #[inline]
+    pub fn get(&self, id: TraceId) -> &TraceState {
+        self.slots
+            .get(id.0)
+            .and_then(OnceLock::get)
+            .unwrap_or_else(|| panic!("trace {} read before it was pushed", id.0))
     }
 
-    /// Append a new trace and return its id.
+    /// Append a new trace and return its id.  Safe to call from several
+    /// thieves at once.
     pub fn push(&self, eng: ConcurrentOmNode, heb: ConcurrentOmNode) -> TraceId {
-        let mut traces = self.traces.write();
-        let id = next_trace_id(traces.len());
-        traces.push(Arc::new(TraceState {
+        let id = next_trace_id(self.reserved.fetch_add(1, Ordering::Relaxed));
+        self.slots.ensure(id.0, |_| OnceLock::new());
+        let state = Box::new(TraceState {
             eng,
             heb,
             local: Mutex::new(TraceLocal::default()),
-        }));
+        });
+        let fresh = self.slots.get(id.0).expect("ensured above").set(state).is_ok();
+        assert!(fresh, "trace id {} reserved twice", id.0);
+        self.published.fetch_add(1, Ordering::Release);
         id
     }
 }
@@ -151,7 +180,7 @@ mod tests {
     fn arena_starts_with_root_trace_and_grows() {
         let (list, base) = om::ConcurrentOmList::with_capacity(16);
         let extra = list.insert_after(base);
-        let (arena, root) = TraceArena::new(base, base);
+        let (arena, root) = TraceArena::new(16, base, base);
         assert_eq!(root, TraceId(0));
         assert_eq!(arena.len(), 1);
         let t1 = arena.push(extra, extra);
@@ -171,10 +200,66 @@ mod tests {
     fn trace_local_maps_start_empty() {
         let (list, base) = om::ConcurrentOmList::with_capacity(4);
         let _ = &list;
-        let (arena, root) = TraceArena::new(base, base);
+        let (arena, root) = TraceArena::new(4, base, base);
         let state = arena.get(root);
         let local = state.local.lock();
         assert!(local.sbag.is_empty());
         assert!(local.pbag.is_empty());
+    }
+
+    /// Thieves push concurrently while readers look traces up: every id a
+    /// reader learns about resolves to exactly the handles pushed for it,
+    /// across many chunk boundaries (base 2), and the published count ends
+    /// at exactly one per push.
+    #[test]
+    fn concurrent_pushes_and_reads_agree_across_chunks() {
+        use std::sync::atomic::AtomicU32;
+
+        const PUSHERS: usize = 4;
+        const PER_PUSHER: usize = 500;
+        let (list, base) = om::ConcurrentOmList::with_capacity(2);
+        let mut nodes = vec![base];
+        for _ in 0..2 * PUSHERS * PER_PUSHER {
+            nodes.push(list.insert_after(*nodes.last().unwrap()));
+        }
+        let (arena, _root) = TraceArena::new(2, base, base);
+        // pushed[id] = 1 + the node pair index pushed under `id`, published
+        // with release after the push returns.
+        let pushed: Vec<AtomicU32> = (0..=PUSHERS * PER_PUSHER).map(|_| AtomicU32::new(0)).collect();
+        let done = AtomicU32::new(0);
+        let (arena, nodes, pushed, done) = (&arena, &nodes, &pushed, &done);
+        std::thread::scope(|s| {
+            for t in 0..PUSHERS {
+                s.spawn(move || {
+                    for j in 0..PER_PUSHER {
+                        let pair = t * PER_PUSHER + j;
+                        let id = arena.push(nodes[2 * pair + 1], nodes[2 * pair + 2]);
+                        pushed[id.index()].store(pair as u32 + 1, Ordering::Release);
+                    }
+                    done.fetch_add(1, Ordering::Release);
+                });
+            }
+            for _ in 0..2 {
+                s.spawn(move || {
+                    let mut checked = 0u64;
+                    while done.load(Ordering::Acquire) < PUSHERS as u32 || checked == 0 {
+                        for (id, slot) in pushed.iter().enumerate() {
+                            let tag = slot.load(Ordering::Acquire);
+                            if tag == 0 {
+                                continue;
+                            }
+                            let pair = tag as usize - 1;
+                            let state = arena.get(TraceId(id as u32));
+                            assert_eq!(state.eng, nodes[2 * pair + 1], "trace {id}");
+                            assert_eq!(state.heb, nodes[2 * pair + 2], "trace {id}");
+                            checked += 1;
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(arena.len(), 1 + PUSHERS * PER_PUSHER);
+        assert!(pushed[1..].iter().all(|p| p.load(Ordering::Relaxed) != 0), "ids are dense");
+        assert!(arena.slots.chunk_count() > 8, "base 2 crossed many chunk boundaries");
     }
 }

@@ -35,6 +35,8 @@
 //! repository-root `ARCHITECTURE.md#serial-sp-maintenance-figure-3` places
 //! this crate in the paper-to-crate map.
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod english_hebrew;
 pub mod offset_span;

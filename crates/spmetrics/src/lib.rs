@@ -61,6 +61,8 @@
 //!
 //! See `ARCHITECTURE.md#observability-spmetrics`.
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;

@@ -72,6 +72,8 @@
 //! assert_eq!(live.traces as u64, 4 * live.steals + 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod determinacy;
 pub mod program;
 pub mod record;

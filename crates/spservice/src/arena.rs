@@ -24,9 +24,8 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use parking_lot::Mutex;
 use racedet::epoch::{EpochShadowArena, EpochShadowView};
-use racedet::{check_thread_accesses_metered, Access, DetectionSink, RaceReport};
+use racedet::{check_thread_accesses_metered, Access, DetectionSink, RaceLog, RaceReport};
 use spmaint::api::CurrentSpQuery;
 use spmetrics::MetricsHandle;
 use sptree::tree::ThreadId;
@@ -144,7 +143,7 @@ impl SessionArena {
             val_gens: &self.val_gens,
             gen: self.shadow.current_gen(),
             locations,
-            report: Mutex::new(RaceReport::new()),
+            report: RaceLog::new(),
             metrics,
         }
     }
@@ -169,7 +168,7 @@ pub struct SessionSink<'a> {
     val_gens: &'a [AtomicU32],
     gen: u32,
     locations: u32,
-    report: Mutex<RaceReport>,
+    report: RaceLog,
     metrics: MetricsHandle,
 }
 
@@ -181,12 +180,12 @@ impl SessionSink<'_> {
 
     /// Snapshot of the races found so far.
     pub fn report(&self) -> RaceReport {
-        self.report.lock().clone()
+        self.report.report()
     }
 
     /// Consume the sink and return the session's final report.
     pub fn into_report(self) -> RaceReport {
-        self.report.into_inner()
+        self.report.into_report()
     }
 
     fn slot(&self, loc: u32) -> usize {

@@ -36,6 +36,8 @@
 //! (`BENCH_service.json`).  See the repository-root
 //! `ARCHITECTURE.md#detection-as-a-service-spservice` for the design map.
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod p2;
 pub mod sched;

@@ -24,6 +24,8 @@
 //! * [`generate`] — seeded random program generators used by tests and by the
 //!   benchmark harness.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod cilk;
 pub mod dag;

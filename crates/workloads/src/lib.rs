@@ -9,6 +9,8 @@
 //! forks, random Cilk programs — together with access-script generators for
 //! the race-detection experiments.
 
+#![forbid(unsafe_code)]
+
 pub mod datadep;
 pub mod graphs;
 pub mod live;

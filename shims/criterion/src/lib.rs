@@ -8,6 +8,8 @@
 //! bounded measuring loop and prints a single mean-time line, which is enough
 //! to reproduce the paper's relative comparisons without registry access.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::time::{Duration, Instant};
 

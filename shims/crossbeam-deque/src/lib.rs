@@ -8,6 +8,8 @@
 //! the tree" invariant (Lemma 7 of the paper) relies on.  Contention on
 //! `steal` is reported as `Steal::Retry`, matching the real API's semantics.
 
+#![forbid(unsafe_code)]
+
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 

@@ -1,6 +1,8 @@
 //! Minimal offline stand-in for `crossbeam-utils`: [`Backoff`] and
 //! [`CachePadded`].
 
+#![forbid(unsafe_code)]
+
 use std::cell::Cell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};

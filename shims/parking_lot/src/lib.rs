@@ -4,6 +4,8 @@
 //! workspace uses: infallible `lock()/read()/write()` (poison is swallowed —
 //! `parking_lot` has no poisoning) and `try_lock()` returning `Option`.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 

@@ -14,6 +14,8 @@
 //! harness uses it to minimize failing random programs to a replayable seed
 //! plus a shrunk tree instead of dumping the raw random case.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{RngCore, SampleRange, SeedableRng};
 

@@ -7,6 +7,8 @@
 //! streams are deterministic per seed but do **not** match upstream `rand`
 //! byte-for-byte (no test in this workspace depends on the exact stream).
 
+#![forbid(unsafe_code)]
+
 /// A source of random `u64`s.
 pub trait RngCore {
     fn next_u64(&mut self) -> u64;

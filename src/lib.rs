@@ -120,6 +120,8 @@
 //! and theorem (Fig. 3, Thm 5/Cor 6, Thm 10) to the crate, bench, and test
 //! that reproduces it.
 
+#![forbid(unsafe_code)]
+
 pub use dsu;
 pub use forkrt;
 pub use om;
